@@ -14,20 +14,16 @@ implementation detail selected at :func:`connect` time:
   ``invalid_request``, ``backpressure``, ``auth_failed``, ``worker_died``,
   ...); the same malformed request raises the identical typed error
   through every backend.
-* **Clients** (:mod:`repro.api.client`, :mod:`repro.api.http_client`,
-  :mod:`repro.api.aio`) — the :class:`Client` protocol and its three
-  interchangeable implementations: :class:`LocalClient` (in-process
+* **Clients** (:mod:`repro.api.client`, :mod:`repro.api.http_client`) —
+  the :class:`Client` protocol and its three interchangeable
+  implementations: :class:`LocalClient` (in-process
   :class:`~repro.serve.service.InferenceService`), :class:`HttpClient`
-  (wire protocol against either HTTP edge, with a keep-alive connection
-  pool, idempotent-request retries, and bearer-token auth), and
-  :class:`ClusterClient` (sharded
-  :class:`~repro.serve.cluster.PlanCluster`) — plus :class:`AsyncClient`,
-  the ``await``-able HTTP client (same dataclasses, same typed errors,
-  pooled ``asyncio`` connections).
+  (wire protocol against :class:`~repro.serve.http.PlanServer`, with a
+  keep-alive connection pool, idempotent-request retries, and
+  bearer-token auth), and :class:`ClusterClient` (sharded
+  :class:`~repro.serve.cluster.PlanCluster`).
 * **Dispatch** (:mod:`repro.api.connect`) — ``connect("local:plans/")``,
-  ``connect("http://host:8100")``, ``connect("cluster:plans/?workers=4")``;
-  :func:`connect_async` (or ``connect("http://…?async=true")``) for the
-  awaitable client.
+  ``connect("http://host:8100")``, ``connect("cluster:plans/?workers=4")``.
 * **Studies** (:mod:`repro.api.study`, :mod:`repro.serve.jobs`) —
   asynchronous, checkpointed study jobs: submit a typed
   :class:`StudySpec` sweep (models × sigmas) via
@@ -87,9 +83,8 @@ from repro.api.types import (
 )
 
 if TYPE_CHECKING:  # the lazy names, visible to type checkers
-    from repro.api.aio import AsyncClient
     from repro.api.client import Client, ClusterClient, LocalClient
-    from repro.api.connect import connect, connect_async
+    from repro.api.connect import connect
     from repro.api.http_client import HttpClient
     from repro.api.study import (
         ClientSweepResult,
@@ -102,13 +97,11 @@ if TYPE_CHECKING:  # the lazy names, visible to type checkers
 #: serve backends, so resolving them eagerly from a serve-internal import
 #: of repro.api.types would cycle.
 _LAZY: Dict[str, str] = {
-    "AsyncClient": "repro.api.aio",
     "Client": "repro.api.client",
     "ClusterClient": "repro.api.client",
     "LocalClient": "repro.api.client",
     "HttpClient": "repro.api.http_client",
     "connect": "repro.api.connect",
-    "connect_async": "repro.api.connect",
     "ClientSweepResult": "repro.api.study",
     "SigmaPoint": "repro.api.study",
     "variation_sweep_via_client": "repro.api.study",
@@ -122,7 +115,6 @@ __all__ = [
     "ApiError",
     "ApiServerError",
     "ApiTimeout",
-    "AsyncClient",
     "BackendClosed",
     "Client",
     "ClientSweepResult",
@@ -149,7 +141,6 @@ __all__ = [
     "bits_token",
     "canonical_name",
     "connect",
-    "connect_async",
     "error_for",
     "map_exception",
     "parse_bits_token",
@@ -167,8 +158,7 @@ def __getattr__(name: str) -> Any:
     # Cache every export of the module, not just the requested name: the
     # import above also binds the *submodule* onto this package (standard
     # submodule semantics), and for repro.api.connect that binding would
-    # shadow the connect() function — resolving connect_async first must
-    # not turn repro.api.connect into a module object.
+    # shadow the connect() function.
     for export, owner in _LAZY.items():
         if owner == module_name:
             globals()[export] = getattr(module, export)

@@ -34,11 +34,6 @@ Failure handling:
   :class:`~repro.api.errors.ApiTimeout`, matching every other backend.
 * An optional bearer ``token`` is sent as ``Authorization: Bearer ...``;
   a 401 raises :class:`~repro.api.errors.ApiAuthError`.
-
-:class:`~repro.api.aio.AsyncClient` is the ``asyncio`` counterpart —
-same typed surface, ``await``-able methods, the same pooling semantics —
-built on the shared decode helpers below so the two transports cannot
-drift apart.
 """
 
 from __future__ import annotations
@@ -86,7 +81,7 @@ _RETRYABLE = (ConnectionError, http.client.HTTPException, OSError)
 
 
 # ---------------------------------------------------------------------- #
-# Shared wire helpers (sync HttpClient and async AsyncClient)
+# Wire helpers
 # ---------------------------------------------------------------------- #
 def parse_retry_after(headers: Mapping[str, str]) -> Optional[float]:
     """The parsed ``Retry-After`` of a (lower-cased) response header map."""
@@ -207,7 +202,7 @@ class _ConnectionPool:
 
 
 class HttpClient:
-    """Typed client for a served HTTP endpoint (threaded or async edge).
+    """Typed client for a served :class:`~repro.serve.http.PlanServer`.
 
     Parameters
     ----------

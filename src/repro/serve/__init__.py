@@ -20,12 +20,6 @@ such plans to concurrent clients over the network":
   front-end: ``POST /v1/predict``, ``POST /v1/predict_under_variation``,
   ``GET /v1/models``, ``GET /v1/stats``, ``GET /healthz``, with arrays
   carried base64-packed or as nested lists and failures mapped to 4xx.
-* :class:`AsyncPlanServer` (:mod:`repro.serve.aio`) — the event-loop
-  flavour of the same edge: ``asyncio`` accept, HTTP/1.1 keep-alive with
-  idle timeout, pipelined request parsing, and a bounded dispatch pool
-  bridging into the blocking schedulers.  Same routes, auth, TLS, drain,
-  and ``/metrics`` (both edges share one ``EdgeCore``); thousands of idle
-  connections cost file descriptors, not threads.
 * :class:`PlanCluster` (:mod:`repro.serve.cluster`) — cross-process
   sharding: N worker processes over one registry directory, models
   partitioned by a stable key hash (:func:`shard_index`), each worker
@@ -75,7 +69,6 @@ from repro.serve.scheduler import (
 )
 from repro.serve.service import InferenceService, VariationPrediction
 from repro.serve.http import PlanServer, RequestError
-from repro.serve.aio import AsyncPlanServer
 from repro.serve.cluster import PlanCluster, shard_index
 from repro.serve.shm import DEFAULT_SHM_THRESHOLD, ShmRef
 from repro.serve.jobs import JobManager
@@ -84,7 +77,6 @@ from repro.serve.pool import StudyCell, run_study_cell, run_variation_study_para
 __all__ = [
     "AUTO_MAX_BATCH",
     "AdaptiveMaxBatch",
-    "AsyncPlanServer",
     "DEFAULT_SHM_THRESHOLD",
     "InferenceService",
     "JobManager",

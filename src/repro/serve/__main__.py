@@ -40,7 +40,6 @@ import threading
 from typing import List, Optional
 
 from repro.api.connect import connect
-from repro.serve.aio import AsyncPlanServer
 from repro.serve.http import PlanServer
 
 #: Set by tests (or a signal handler) to stop a running ``main`` promptly.
@@ -102,15 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "over shared memory instead of the worker pipe; "
                              "negative disables (default: 65536, cluster "
                              "backend only)")
-    parser.add_argument("--async", dest="async_edge", action="store_true",
-                        help="serve through the asyncio edge (event-loop "
-                             "accept, keep-alive connection reuse, pipelined "
-                             "parsing) instead of the thread-per-connection "
-                             "server; same routes and protocol")
-    parser.add_argument("--keepalive-timeout", type=float, default=30.0,
-                        metavar="SECONDS",
-                        help="close idle keep-alive connections after this "
-                             "long (default: 30.0, --async edge only)")
     parser.add_argument("--auth-token", default=None, metavar="TOKEN",
                         help="require 'Authorization: Bearer TOKEN' on every "
                              "route except /healthz and /metrics "
@@ -188,21 +178,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     if (args.tls_cert is None) != (args.tls_key is None):
         build_parser().error("--tls-cert and --tls-key must be given together")
     backend = build_backend(args)
-    if args.async_edge:
-        server = AsyncPlanServer(
-            backend, host=args.host, port=args.port, verbose=not args.quiet,
-            auth_token=args.auth_token,
-            tls_cert=args.tls_cert, tls_key=args.tls_key,
-            jobs_dir=args.jobs_dir,
-            keepalive_timeout=args.keepalive_timeout,
-        )
-    else:
-        server = PlanServer(
-            backend, host=args.host, port=args.port, verbose=not args.quiet,
-            auth_token=args.auth_token,
-            tls_cert=args.tls_cert, tls_key=args.tls_key,
-            jobs_dir=args.jobs_dir,
-        )
+    server = PlanServer(
+        backend, host=args.host, port=args.port, verbose=not args.quiet,
+        auth_token=args.auth_token,
+        tls_cert=args.tls_cert, tls_key=args.tls_key,
+        jobs_dir=args.jobs_dir,
+    )
     server.start()
     models = backend.models()
     topology = (
@@ -212,8 +193,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     if args.precision is not None:
         topology += f", {args.precision} execution"
-    if args.async_edge:
-        topology += ", asyncio edge"
     print(f"serving {len(models)} plan(s) at {server.url} ({topology})")
     for entry in models:
         shard = f"  worker {entry['worker']}" if "worker" in entry else ""

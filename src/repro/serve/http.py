@@ -1,17 +1,10 @@
 """HTTP front-end: the serving stack as a stdlib JSON-over-HTTP endpoint.
 
-Two interchangeable edges serve the same protocol:
-
-* :class:`PlanServer` — the threaded ``http.server`` edge (one handler
-  thread per connection);
-* :class:`~repro.serve.aio.AsyncPlanServer` — the ``asyncio`` edge
-  (event-loop accept, keep-alive reuse, pipelined parsing, bounded
-  executor into the same micro-batch schedulers).
-
-Both delegate every parsed request to one shared :class:`EdgeCore` — the
-transport-agnostic route table, auth check, drain flag, study-job
-manager, and metrics registry — so the two edges *cannot* diverge: a new
-route, a changed error mapping, or an auth tweak lands in both at once.
+:class:`PlanServer` is a threaded ``http.server`` edge (one handler
+thread per connection, HTTP/1.1 keep-alive) and a thin one: every parsed
+request goes to :class:`EdgeCore` — the route table, auth check, drain
+flag, study-job manager, and metrics registry — and the transport only
+reads bytes off the socket and writes the rendered response back.
 The wire protocol:
 
 ``POST /v1/predict``
@@ -65,9 +58,10 @@ sent a valid one, else server-assigned — and the same id is threaded into
 the typed request the backend serves, so worker-side structured logs line
 up with the HTTP exchange.
 
-Malformed requests are mapped to proper 4xx responses (400 bad payloads,
-404 unknown models/paths, 405 wrong method, 413 oversized body) with a JSON
-error body carrying the stable machine-readable ``code`` of the typed
+Malformed requests are mapped to proper 4xx responses (400 bad payloads
+or request lines, 404 unknown models/paths, 405 wrong method on a routed
+path, 413 oversized body, 414 oversized request line) with a JSON error
+body carrying the stable machine-readable ``code`` of the typed
 :mod:`repro.api.errors` hierarchy; a closed backend answers 503, a
 scheduler queue past the backend's ``max_queue_depth`` answers 429 with a
 ``Retry-After`` header, and (with ``auth_token`` set) a request without
@@ -80,8 +74,10 @@ dribbling its body in segments is served normally.  Responses carried
 base64-packed as float64 are bit-equivalent to in-process results.
 
 Shutdown is graceful: :meth:`PlanServer.close` stops accepting
-connections, waits for in-flight requests to finish, and then closes the
-backend — which drains every in-flight micro-batch — before returning.
+connections, hangs up idle keep-alive connections, waits for in-flight
+requests to finish (each then closes its connection), and then closes
+the backend — which drains every in-flight micro-batch — before
+returning.
 
 The handlers are thin codecs (:mod:`repro.api.codec`) over the shared
 request/response dataclasses: the backend contract (satisfied by
@@ -93,14 +89,17 @@ request/response dataclasses: the backend contract (satisfied by
 
 from __future__ import annotations
 
+import functools
 import hmac
 import json
 import logging
 import math
+import socket
 import ssl
 import threading
 import time
 from dataclasses import dataclass, field, replace
+from http import HTTPStatus
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, Mapping, Optional, Tuple
 
@@ -144,8 +143,17 @@ _PROTOCOL_CODES = {
     404: "not_found",
     405: "method_not_allowed",
     413: "payload_too_large",
+    414: "invalid_request",
+    431: "invalid_request",
     503: "unavailable",
+    505: "invalid_request",
 }
+
+#: Method names metered under their own label; any other token a client
+#: sends shares ``method="OTHER"`` so it cannot grow metric cardinality.
+_HTTP_METHODS = frozenset(
+    ("GET", "HEAD", "POST", "PUT", "DELETE", "OPTIONS", "PATCH")
+)
 
 #: Lower-cased header key the trace id travels under.
 _REQUEST_ID_KEY = REQUEST_ID_HEADER.lower()
@@ -185,7 +193,7 @@ def _error_body(status: int, error: BaseException) -> dict:
 
 
 # ---------------------------------------------------------------------- #
-# Shared body plumbing (used by both the threaded and the asyncio edge)
+# Body plumbing
 # ---------------------------------------------------------------------- #
 def parse_content_length(headers: Mapping[str, str]) -> Optional[int]:
     """Validate a (lower-cased) header map's ``Content-Length``.
@@ -209,18 +217,6 @@ def parse_content_length(headers: Mapping[str, str]) -> Optional[int]:
     return length
 
 
-def truncated_body_error(got: int, expected: int) -> RequestError:
-    """The 400 a body shorter than its declared Content-Length maps to.
-
-    One constructor for both edges, so the sync and async servers answer
-    a truncating client with the identical message.
-    """
-    return RequestError(
-        400,
-        f"request body truncated: expected {expected} bytes, got {got}",
-    )
-
-
 def read_exact(read: Callable[[int], bytes], length: int) -> bytes:
     """Read exactly ``length`` bytes from a blocking ``read`` callable.
 
@@ -241,7 +237,11 @@ def read_exact(read: Callable[[int], bytes], length: int) -> bytes:
         remaining -= len(chunk)
     data = b"".join(chunks)
     if len(data) < length:
-        raise truncated_body_error(len(data), length)
+        raise RequestError(
+            400,
+            f"request body truncated: expected {length} bytes, "
+            f"got {len(data)}",
+        )
     return data
 
 
@@ -271,8 +271,7 @@ class EdgeCore:
     request accounting.  A transport parses one request off its
     connection (method, path, lower-cased headers, raw body bytes) and
     calls :meth:`handle`; everything after that — dispatch, typed-error
-    mapping, metrics, structured logging — happens here, identically for
-    the threaded and the asyncio edge.
+    mapping, metrics, structured logging — happens here.
     """
 
     def __init__(
@@ -305,7 +304,7 @@ class EdgeCore:
             lambda: [({}, float(self._inflight))],
         )
         self._inflight = 0
-        self._inflight_cv = threading.Condition()
+        self._inflight_lock = threading.Lock()
         # The study-job subsystem rides on the edge registry so /metrics
         # exports its counters; with a checkpoint directory, interrupted
         # studies found on disk resume before the first request arrives.
@@ -331,26 +330,6 @@ class EdgeCore:
             ("POST", "/admin/rollback"): self._handle_admin_rollback,
         }
         self._route_paths = {path for _, path in self._routes}
-
-    # -------------------------------------------------------------- #
-    # In-flight accounting (drain support for both transports)
-    # -------------------------------------------------------------- #
-    def request_started(self) -> None:
-        with self._inflight_cv:
-            self._inflight += 1
-
-    def request_finished(self) -> None:
-        with self._inflight_cv:
-            self._inflight -= 1
-            if self._inflight == 0:
-                self._inflight_cv.notify_all()
-
-    def drain(self, timeout: Optional[float]) -> bool:
-        """Wait until no request is mid-handling; True if fully drained."""
-        with self._inflight_cv:
-            return self._inflight_cv.wait_for(
-                lambda: self._inflight == 0, timeout=timeout
-            )
 
     # -------------------------------------------------------------- #
     # Dispatch
@@ -387,7 +366,8 @@ class EdgeCore:
         )
         status = 0
         started = time.monotonic()
-        self.request_started()
+        with self._inflight_lock:
+            self._inflight += 1
         try:
             try:
                 # The liveness probe and metrics scrape stay open so
@@ -421,7 +401,8 @@ class EdgeCore:
             status = response.status
             return response
         finally:
-            self.request_finished()
+            with self._inflight_lock:
+                self._inflight -= 1
             elapsed = time.monotonic() - started
             # Unknown paths collapse onto one label value so a scanner
             # cannot grow the metric cardinality without bound.
@@ -429,10 +410,23 @@ class EdgeCore:
                 route = "/v1/studies/{id}"
             else:
                 route = path if path in self._route_paths else "unknown"
+            if method not in _HTTP_METHODS:
+                method = "OTHER"
             self.observe_request(route, method, status, elapsed)
             log_event(_LOG, "http_request", request_id=request_id,
                       route=route, method=method, status=status,
                       latency_ms=elapsed * 1000.0)
+
+    def protocol_error(self, error: RequestError) -> EdgeResponse:
+        """Render a failure the transport hit before a request existed.
+
+        A malformed or oversized request line (or header section) has no
+        route to dispatch; it still answers the JSON error body every
+        other failure carries, metered under ``route="unknown"``.
+        """
+        self.observe_request("unknown", "BAD", error.status, 0.0)
+        return self._json(error.status, _error_body(error.status, error),
+                          new_request_id(), close=True)
 
     def observe_request(
         self, route: str, method: str, status: int, elapsed: float
@@ -738,23 +732,52 @@ class _Handler(BaseHTTPRequestHandler):
     """Thin transport: socket/body plumbing; the protocol lives in EdgeCore."""
 
     protocol_version = "HTTP/1.1"
-    # Idle keep-alive connections drop after this long, so they can never
-    # hold the server open across a shutdown.
+    # A one-word request line leaves the stdlib parser at this version;
+    # HTTP/0.9 would answer it without a status line.
+    default_request_version = "HTTP/1.0"
+    # Idle keep-alive connections drop after this long.
     timeout = 30.0
     server_version = "repro-serve/1.0"
+
+    def setup(self) -> None:
+        super().setup()
+        self.server.track(self)
+
+    def finish(self) -> None:
+        try:
+            super().finish()
+        finally:
+            self.server.untrack(self)
 
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
         if self.server.verbose:  # pragma: no cover - disabled in tests
             super().log_message(format, *args)
 
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        self._dispatch("GET")
+    def __getattr__(self, name: str):
+        # http.server looks up ``do_<METHOD>``; every method goes to the
+        # core, which answers 405 on a routed path and 404 elsewhere.
+        if name.startswith("do_"):
+            return functools.partial(self._dispatch, name[3:])
+        raise AttributeError(name)
 
-    def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-        self._dispatch("POST")
+    def parse_request(self) -> bool:
+        # A request line arrived: the connection stays busy until its
+        # response is written, so close() will not hang it up mid-exchange.
+        self.server.set_busy(self, True)
+        return super().parse_request()
 
-    def do_DELETE(self) -> None:  # noqa: N802 - stdlib naming
-        self._dispatch("DELETE")
+    def handle_one_request(self) -> None:
+        try:
+            super().handle_one_request()
+        finally:
+            if self.server.set_busy(self, False):
+                self.close_connection = True  # the server is closing
+
+    def send_error(self, code, message=None, explain=None) -> None:
+        # The stdlib parser answers malformed or oversized request lines
+        # and header floods itself; render those through the core too.
+        error = RequestError(code, message or HTTPStatus(code).phrase)
+        self._send(self.server.core.protocol_error(error))
 
     def _dispatch(self, method: str) -> None:
         core = self.server.core
@@ -767,8 +790,10 @@ class _Handler(BaseHTTPRequestHandler):
                 body = read_exact(self.rfile.read, length)
         except Exception as error:  # noqa: BLE001 - mapped by the core
             body_error = error
-        response = core.handle(method, self.path, headers, body, body_error)
-        if response.close:
+        self._send(core.handle(method, self.path, headers, body, body_error))
+
+    def _send(self, response: EdgeResponse) -> None:
+        if response.close or self.server.closing:
             self.close_connection = True
         self.send_response(response.status)
         self.send_header("Content-Type", response.content_type)
@@ -784,14 +809,25 @@ class _Handler(BaseHTTPRequestHandler):
             pass
 
 
+def _hang_up(connection: socket.socket) -> None:
+    """Wake the handler blocked reading this connection's next request.
+
+    ``SHUT_RD`` makes that read return EOF; the handler then closes the
+    connection the normal way.  Writes are untouched.
+    """
+    try:
+        connection.shutdown(socket.SHUT_RD)
+    except OSError:
+        pass
+
+
 class _PlanHTTPServer(ThreadingHTTPServer):
     """Threaded HTTP server: socket lifecycle around one EdgeCore."""
 
-    # Handler threads are daemonic: an idle keep-alive connection must not
-    # block shutdown.  In-flight *requests* are tracked explicitly instead
-    # (by the core), so close() can drain real work and ignore idle sockets.
+    # Handler threads are daemonic: close() hangs up idle keep-alive
+    # connections itself and waits (bounded) for busy ones to finish, so
+    # there is nothing for server_close() to join.
     daemon_threads = True
-    # With daemon threads there is nothing for server_close() to join.
     block_on_close = False
     # http.server's default listen backlog (5) drops connection bursts on
     # the floor — clients stall in SYN retransmit.  An edge accepting
@@ -801,7 +837,45 @@ class _PlanHTTPServer(ThreadingHTTPServer):
     def __init__(self, address, core: EdgeCore, verbose: bool) -> None:
         self.core = core
         self.verbose = verbose
+        self.closing = False
+        # Open connection -> busy (a request line read, its response not
+        # yet written).  Guarded by the condition.
+        self._connections: Dict[_Handler, bool] = {}
+        self._connections_cv = threading.Condition()
         super().__init__(address, _Handler)
+
+    def track(self, handler: _Handler) -> None:
+        with self._connections_cv:
+            self._connections[handler] = False
+            if self.closing:
+                _hang_up(handler.connection)
+
+    def untrack(self, handler: _Handler) -> None:
+        with self._connections_cv:
+            self._connections.pop(handler, None)
+            self._connections_cv.notify_all()
+
+    def set_busy(self, handler: _Handler, busy: bool) -> bool:
+        """Flag one connection mid-exchange or idle; True once closing."""
+        with self._connections_cv:
+            self._connections[handler] = busy
+            return self.closing
+
+    def hang_up_idle(self) -> None:
+        """Start closing: hang up every idle connection now; busy ones
+        close after writing their response."""
+        with self._connections_cv:
+            self.closing = True
+            for handler, busy in self._connections.items():
+                if not busy:
+                    _hang_up(handler.connection)
+
+    def wait_closed(self, timeout: Optional[float]) -> bool:
+        """Wait until every connection has closed; True if they all did."""
+        with self._connections_cv:
+            return self._connections_cv.wait_for(
+                lambda: not self._connections, timeout=timeout
+            )
 
 
 class PlanServer:
@@ -818,11 +892,6 @@ class PlanServer:
     ``tls_cert``/``tls_key`` (both or neither) terminate TLS on the
     listening socket; :attr:`url` turns ``https://`` and clients verify
     with ``HttpClient(url, cafile=...)``.
-
-    :class:`~repro.serve.aio.AsyncPlanServer` is the drop-in asyncio
-    flavour of this class — same constructor surface, same routes (they
-    share one :class:`EdgeCore`), event-loop concurrency instead of a
-    thread per connection.
     """
 
     def __init__(
@@ -897,14 +966,19 @@ class PlanServer:
         return self
 
     def close(self, timeout: Optional[float] = 10.0) -> None:
-        """Graceful shutdown: stop accepting, drain in-flight, close backend."""
+        """Graceful shutdown: stop accepting, hang up idle connections,
+        drain in-flight requests, close the backend."""
         if self._closed:
             return
         self._closed = True
         if self._thread is not None:
             self._httpd.shutdown()
             self._thread.join(timeout=timeout)
-        self.core.drain(timeout)
+        # Idle connections are hung up now; busy ones finish their request
+        # and close after the response, so once every connection has
+        # closed nothing is in flight.
+        self._httpd.hang_up_idle()
+        self._httpd.wait_closed(timeout)
         # Jobs close before the backend they execute through; an unfinished
         # study stays checkpointed on disk and resumes on the next start.
         self.core.jobs.close()

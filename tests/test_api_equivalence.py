@@ -15,8 +15,6 @@ script, so the study protocol itself is certified backend-independent.
 
 from __future__ import annotations
 
-import asyncio
-
 import numpy as np
 import pytest
 from types import SimpleNamespace
@@ -27,21 +25,19 @@ from repro.api.study import variation_sweep_via_client
 from repro.api.types import EnsembleRequest, PredictRequest
 from repro.models import make_mlp
 from repro.runtime import compile_model
-from repro.serve import AsyncPlanServer, InferenceService, PlanRegistry, PlanServer
+from repro.serve import InferenceService, PlanRegistry, PlanServer
 
 MODELS = (("alpha", 4, "acm"), ("beta", None, "de"))
 #: "cluster-shm" is the same sharded backend with ``shm_threshold=0``:
 #: every request/response array is forced over the shared-memory
 #: transport, so its bit-identity with the pipe-based "cluster" (and with
-#: everything else) is enforced by every test in this module.  "aio" is the
-#: same HTTP client against the *asyncio* edge (AsyncPlanServer): keep-alive
-#: event-loop serving may not change a single bit either.
-BACKENDS = ("local", "http", "aio", "cluster", "cluster-shm")
+#: everything else) is enforced by every test in this module.
+BACKENDS = ("local", "http", "cluster", "cluster-shm")
 
 
 @pytest.fixture(scope="module")
 def matrix(tmp_path_factory):
-    """One plan directory, five live backends, shared evaluation data."""
+    """One plan directory, four live backends, shared evaluation data."""
     directory = tmp_path_factory.mktemp("equivalence-plans")
     registry = PlanRegistry(directory)
     plans = {}
@@ -53,12 +49,9 @@ def matrix(tmp_path_factory):
 
     http_service = InferenceService(PlanRegistry(directory), max_batch=16)
     server = PlanServer(http_service, own_backend=True).start()
-    aio_service = InferenceService(PlanRegistry(directory), max_batch=16)
-    aio_server = AsyncPlanServer(aio_service, own_backend=True).start()
     clients = {
         "local": connect(f"local:{directory}?max_batch=16&max_wait_ms=2"),
         "http": connect(server.url),
-        "aio": connect(aio_server.url),
         "cluster": connect(
             f"cluster:{directory}?workers=2&max_batch=16&shm_threshold=off"
         ),
@@ -72,13 +65,11 @@ def matrix(tmp_path_factory):
     images = rng.normal(size=(8, 16))
     labels = rng.integers(0, 10, size=8)
     yield SimpleNamespace(directory=directory, plans=plans, clients=clients,
-                          images=images, labels=labels,
-                          server=server, aio_server=aio_server)
+                          images=images, labels=labels, server=server)
     shm_base = clients["cluster-shm"].backend._shm_base
     for client in clients.values():
         client.close()
     server.close()
-    aio_server.close()
     # The shm-forced cluster may not leave a single orphaned segment.
     from repro.serve.shm import list_segments
 
@@ -279,13 +270,9 @@ class TestIntegerPrecisionEquivalence:
         http_service = InferenceService(PlanRegistry(directory), max_batch=16,
                                         precision="int8")
         server = PlanServer(http_service, own_backend=True).start()
-        aio_service = InferenceService(PlanRegistry(directory), max_batch=16,
-                                       precision="int8")
-        aio_server = AsyncPlanServer(aio_service, own_backend=True).start()
         clients = {
             "local": connect(f"local:{directory}?max_batch=16&precision=int8"),
             "http": connect(server.url),
-            "aio": connect(aio_server.url),
             "cluster": connect(
                 f"cluster:{directory}?workers=2&max_batch=16"
                 f"&shm_threshold=off&precision=int8"
@@ -305,7 +292,6 @@ class TestIntegerPrecisionEquivalence:
         for client in clients.values():
             client.close()
         server.close()
-        aio_server.close()
 
     def _predict(self, client, name, bits, mapping, images):
         return np.asarray(client.predict(PredictRequest(
@@ -412,154 +398,3 @@ class TestEnsembleBackpressureEquivalence:
                 images=np.zeros((2, 16)), model="alpha", mapping="acm",
                 bits=4)).logits
             assert np.asarray(logits).shape == (2, 10), backend
-
-
-class TestAsyncClientEquivalence:
-    """The ``await``-able client is a fourth transport, not a fourth truth.
-
-    Drives :class:`repro.api.AsyncClient` (via :func:`connect_async`)
-    against *both* HTTP edges — the threaded ``PlanServer`` and the
-    event-loop ``AsyncPlanServer`` — and every result must be
-    bit-identical to the in-process reference, every failure the same
-    typed error.
-    """
-
-    EDGES = ("http", "aio")
-
-    @staticmethod
-    def _url(matrix, edge):
-        return (matrix.server if edge == "http" else matrix.aio_server).url
-
-    @pytest.mark.parametrize("edge", EDGES)
-    def test_results_bit_identical_to_local(self, matrix, edge):
-        from repro.api import connect_async
-
-        async def script():
-            async with connect_async(self._url(matrix, edge)) as api:
-                out = {}
-                for name, bits, mapping in MODELS:
-                    out[f"predict:{name}"] = (await api.predict(PredictRequest(
-                        images=matrix.images, model=name, mapping=mapping,
-                        bits=bits))).logits
-                    out[f"single:{name}"] = (await api.predict(PredictRequest(
-                        images=matrix.images[0], model=name, mapping=mapping,
-                        bits=bits))).logits
-                    ensemble = await api.ensemble(EnsembleRequest(
-                        images=matrix.images, model=name, mapping=mapping,
-                        bits=bits, sigma_fraction=0.15, num_samples=7,
-                        seed=21))
-                    out[f"ensemble_mean:{name}"] = ensemble.mean_logits
-                    out[f"ensemble_votes:{name}"] = ensemble.vote_counts
-                    out[f"ensemble_pred:{name}"] = ensemble.predictions
-                return out
-
-        results = asyncio.run(script())
-        local = matrix.clients["local"]
-        for name, bits, mapping in MODELS:
-            reference = {
-                f"predict:{name}": local.predict(PredictRequest(
-                    images=matrix.images, model=name, mapping=mapping,
-                    bits=bits)).logits,
-                f"single:{name}": local.predict(PredictRequest(
-                    images=matrix.images[0], model=name, mapping=mapping,
-                    bits=bits)).logits,
-            }
-            ensemble = local.ensemble(EnsembleRequest(
-                images=matrix.images, model=name, mapping=mapping, bits=bits,
-                sigma_fraction=0.15, num_samples=7, seed=21))
-            reference[f"ensemble_mean:{name}"] = ensemble.mean_logits
-            reference[f"ensemble_votes:{name}"] = ensemble.vote_counts
-            reference[f"ensemble_pred:{name}"] = ensemble.predictions
-            for key, expected in reference.items():
-                actual = results[key]
-                assert np.asarray(actual).dtype == np.asarray(expected).dtype, \
-                    f"async:{edge}:{key} dtype drifted"
-                np.testing.assert_array_equal(
-                    actual, expected,
-                    err_msg=f"async:{edge}:{key} is not bit-identical",
-                )
-
-    @pytest.mark.parametrize("edge", EDGES)
-    def test_concurrent_predicts_over_pooled_connections(self, matrix, edge):
-        """``asyncio.gather`` many predicts: same bits, warm sockets."""
-        from repro.api import connect_async
-
-        expected = matrix.clients["local"].predict(PredictRequest(
-            images=matrix.images, model="alpha", mapping="acm", bits=4)).logits
-
-        async def script():
-            async with connect_async(self._url(matrix, edge),
-                                     pool_size=4) as api:
-                batches = await asyncio.gather(*(
-                    api.predict(PredictRequest(
-                        images=matrix.images, model="alpha", mapping="acm",
-                        bits=4))
-                    for _ in range(16)
-                ))
-                return [batch.logits for batch in batches], api.client_stats()
-
-        logits, stats = asyncio.run(script())
-        for actual in logits:
-            np.testing.assert_array_equal(actual, expected)
-        # 16 requests through at most 4 sockets: reuse must have happened.
-        assert stats["connections_opened"] <= 4, (edge, stats)
-        assert stats["connections_reused"] >= 12, (edge, stats)
-
-    @pytest.mark.parametrize("edge", EDGES)
-    def test_same_typed_errors_as_local(self, matrix, edge):
-        from repro.api import connect_async
-
-        async def failure(request):
-            async with connect_async(self._url(matrix, edge)) as api:
-                try:
-                    await api.predict(request)
-                except ApiError as error:
-                    return type(error), error.code
-            raise AssertionError("expected a typed ApiError")
-
-        for request in (
-            PredictRequest(images=matrix.images, model="ghost", mapping="acm"),
-            PredictRequest(images=np.zeros((2, 3)), model="alpha",
-                           mapping="acm", bits=4),
-        ):
-            expected = _typed_failure(matrix.clients["local"], request,
-                                      "predict")
-            assert asyncio.run(failure(request)) == expected, edge
-
-    @pytest.mark.parametrize("edge", EDGES)
-    def test_study_lifecycle_matches_local(self, matrix, edge):
-        """Submit, poll, collect — and cancel-after-done is idempotent."""
-        from repro.api import connect_async, study_spec, wait_study
-
-        spec = study_spec(
-            images=matrix.images,
-            models=[("alpha", "acm", 4)],
-            sigmas=(0.0, 0.1),
-            num_samples=5,
-            seed=13,
-            labels=matrix.labels,
-        )
-        local_client = matrix.clients["local"]
-        reference = wait_study(local_client, local_client.submit_study(spec),
-                               timeout=300.0)
-
-        async def script():
-            async with connect_async(self._url(matrix, edge)) as api:
-                job_id = await api.submit_study(spec)
-                status = await api.get_study(job_id)
-                while not status.terminal:
-                    await asyncio.sleep(0.05)
-                    status = await api.get_study(job_id)
-                cancelled = await api.cancel_study(job_id)
-                return status, cancelled
-
-        status, cancelled = asyncio.run(script())
-        assert status.done and status.result is not None
-        # Cancelling a finished job is a no-op reporting the terminal state.
-        assert cancelled.done and not cancelled.cancelled
-        assert len(status.result.cells) == len(reference.cells)
-        for cell, expected in zip(status.result.cells, reference.cells):
-            np.testing.assert_array_equal(
-                cell.mean_logits, expected.mean_logits,
-                err_msg=f"async:{edge}: study mean_logits not bit-identical")
-            assert cell.accuracy == expected.accuracy

@@ -1,16 +1,14 @@
 """Connection pooling: keep-alive reuse and poisoned-socket hygiene.
 
-Covers both pooled transports — the blocking :class:`HttpClient` and the
-``await``-able :class:`AsyncClient` — against both edges, plus hostile
-servers (half-written responses, silent hangs, idle-closing peers) built
-from raw listening sockets.  The invariant under test: the pool only ever
+Covers the pooled :class:`HttpClient` against the live edge and against
+hostile servers (half-written responses, silent hangs) built from raw
+listening sockets.  The invariant under test: the pool only ever
 re-issues requests on sockets that finished their previous exchange
 cleanly; everything else is closed, never parked.
 """
 
 from __future__ import annotations
 
-import asyncio
 import socket
 import threading
 import time
@@ -22,15 +20,14 @@ import pytest
 from repro.api import (
     ApiConnectionError,
     ApiTimeout,
-    AsyncClient,
     HttpClient,
     PredictRequest,
     connect,
-    connect_async,
 )
 from repro.models import make_mlp
 from repro.runtime import compile_model
-from repro.serve import AsyncPlanServer, InferenceService, PlanRegistry, PlanServer
+from repro.serve import InferenceService, PlanRegistry, PlanServer
+from repro.serve.http import _Handler
 
 
 @pytest.fixture(scope="module")
@@ -170,16 +167,19 @@ class TestHttpClientPooling:
         finally:
             server.close()
 
-    def test_server_closing_idle_socket_costs_one_free_retry(self, env):
-        # An async edge with a very short keep-alive window hangs up on
-        # idle sockets; the pooled client must transparently re-issue on a
-        # fresh connection instead of surfacing the stale socket's EOF.
-        aio_server = AsyncPlanServer(
+    def test_server_closing_idle_socket_costs_one_free_retry(
+        self, env, monkeypatch
+    ):
+        # An edge with a very short idle timeout hangs up on idle sockets;
+        # the pooled client must transparently re-issue on a fresh
+        # connection instead of surfacing the stale socket's EOF.
+        monkeypatch.setattr(_Handler, "timeout", 0.3)
+        server = PlanServer(
             InferenceService(PlanRegistry(env.directory), max_batch=16),
-            own_backend=True, keepalive_timeout=0.3,
+            own_backend=True,
         ).start()
         try:
-            with HttpClient(aio_server.url, retries=0) as client:
+            with HttpClient(server.url, retries=0) as client:
                 assert client.health().ok
                 time.sleep(0.8)  # server reaps the idle connection
                 assert client.health().ok  # transparently redialed
@@ -187,7 +187,7 @@ class TestHttpClientPooling:
                 assert stats["stale_retries"] == 1
                 assert stats["connections_opened"] == 2
         finally:
-            aio_server.close()
+            server.close()
 
     def test_timeout_closes_socket_and_maps_to_api_timeout(self):
         server = _HostileServer(_never_answer)
@@ -210,144 +210,34 @@ class TestHttpClientPooling:
         assert client._pool.idle_count() == 0
 
 
-class TestAsyncClientPooling:
-    def test_pool_size_caps_concurrent_sockets(self, env):
-        aio_server = AsyncPlanServer(
-            InferenceService(PlanRegistry(env.directory), max_batch=16),
-            own_backend=True,
-        ).start()
-
-        async def script():
-            async with AsyncClient(aio_server.url, pool_size=2) as api:
-                await asyncio.gather(*(api.health() for _ in range(10)))
-                return api.client_stats()
-
-        try:
-            stats = asyncio.run(script())
-            assert stats["connections_opened"] <= 2
-            assert stats["connections_reused"] >= 8
-        finally:
-            aio_server.close()
-
-    def test_mid_body_disconnect_discards_the_socket(self):
-        server = _HostileServer(_half_body)
-
-        async def script():
-            async with AsyncClient(server.url, retries=0, timeout=5.0) as api:
-                with pytest.raises(ApiConnectionError):
-                    await api.models()
-                return api._pool.idle_count(), api.client_stats()
-
-        try:
-            idle, stats = asyncio.run(script())
-            assert idle == 0
-            assert stats["connection_failures"] == 1
-        finally:
-            server.close()
-
-    def test_server_closing_idle_socket_costs_one_free_retry(self, env):
-        aio_server = AsyncPlanServer(
-            InferenceService(PlanRegistry(env.directory), max_batch=16),
-            own_backend=True, keepalive_timeout=0.3,
-        ).start()
-
-        async def script():
-            async with AsyncClient(aio_server.url, retries=0) as api:
-                assert (await api.health()).ok
-                await asyncio.sleep(0.8)
-                assert (await api.health()).ok
-                return api.client_stats()
-
-        try:
-            stats = asyncio.run(script())
-            assert stats["stale_retries"] == 1
-            assert stats["connections_opened"] == 2
-        finally:
-            aio_server.close()
-
-    def test_timeout_maps_to_api_timeout_without_retry(self):
-        server = _HostileServer(_never_answer)
-
-        async def script():
-            async with AsyncClient(server.url, retries=3, timeout=0.3) as api:
-                with pytest.raises(ApiTimeout):
-                    await api.models()
-                return api.client_stats()
-
-        try:
-            stats = asyncio.run(script())
-            assert stats["timeouts"] == 1
-            assert stats["retries"] == 0
-        finally:
-            server.close()
-
-    def test_unreachable_endpoint_is_api_connection_error(self):
-        async def script():
-            async with AsyncClient("http://127.0.0.1:1", retries=1,
-                                   retry_backoff=0.01, timeout=0.5) as api:
-                with pytest.raises(ApiConnectionError, match="2 attempt"):
-                    await api.models()
-
-        asyncio.run(script())
-
-    def test_constructor_validation(self):
-        with pytest.raises(ValueError):
-            AsyncClient("ftp://x")
-        with pytest.raises(ValueError):
-            AsyncClient("http://x", pool_size=0)
-        with pytest.raises(ValueError):
-            AsyncClient("http://x", keepalive_timeout=0.0)
-        with pytest.raises(ValueError):
-            AsyncClient("http://x", encoding="csv")
-
-
 class TestConnectDispatch:
-    def test_async_query_parameter_selects_async_client(self, env):
-        client = connect(f"{env.server.url}?async=true&pool_size=3")
-        assert isinstance(client, AsyncClient)
-        assert client.pool_size == 3
-
-        async def script():
-            await client.close()
-
-        asyncio.run(script())
-
-    def test_connect_async_helper(self, env):
-        async def script():
-            async with connect_async(env.server.url) as api:
-                assert (await api.health()).ok
-                result = await api.predict(PredictRequest(
-                    images=env.images, model="mlp", mapping="acm", bits=4))
-                np.testing.assert_array_equal(result.logits,
-                                              env.plan.run(env.images))
-
-        asyncio.run(script())
-
-    def test_connect_async_rejects_directory_targets(self, env):
-        with pytest.raises(ValueError, match="sync-only"):
-            connect_async(f"local:{env.directory}")
-
     def test_sync_connect_still_returns_http_client(self, env):
         with connect(env.server.url) as client:
             assert isinstance(client, HttpClient)
             assert client.health().ok
 
-    def test_connect_survives_connect_async_resolving_first(self):
-        # Resolving connect_async imports the repro.api.connect submodule,
-        # whose import binds the *module* onto the package under the name
-        # "connect".  The lazy hook must re-cache the function so
-        # repro.api.connect stays callable.  Import order is the trigger,
-        # so run in a fresh interpreter.
+    @pytest.mark.parametrize("target,options", [
+        ("http://127.0.0.1:1?async=true", {}),
+        ("http://127.0.0.1:1", {"async": True}),
+    ])
+    def test_async_option_is_unknown(self, target, options):
+        with pytest.raises(ValueError, match="unknown"):
+            connect(target, **options)
+
+    def test_connect_resolves_to_the_function(self):
+        # The lazy export imports the repro.api.connect submodule, whose
+        # import binds the *module* onto the package under the name
+        # "connect"; the hook must re-cache the function over it.  Import
+        # order is the trigger, so run in a fresh interpreter.
         import os
         import subprocess
         import sys
 
         script = (
             "import repro.api\n"
-            "from repro.api import connect_async\n"
-            "assert callable(repro.api.connect), type(repro.api.connect)\n"
-            "from repro.api import connect\n"
+            "from repro.api import HttpClient, connect\n"
             "assert callable(connect), type(connect)\n"
+            "assert callable(repro.api.connect), type(repro.api.connect)\n"
         )
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
         env = dict(os.environ, PYTHONPATH=os.path.abspath(src))

@@ -69,15 +69,13 @@ class TestArgumentParsing:
         finally:
             backend.close()
 
-    def test_async_edge_flags(self):
-        args = cli.build_parser().parse_args([
-            "--plan-dir", "plans", "--async", "--keepalive-timeout", "5",
-        ])
-        assert args.async_edge is True
-        assert args.keepalive_timeout == 5.0
-        # Threaded by default.
-        assert cli.build_parser().parse_args(
-            ["--plan-dir", "plans"]).async_edge is False
+    def test_async_flag_is_rejected(self, capsys):
+        # One HTTP edge: asking for the deleted event-loop edge is an
+        # argparse error, not a silently ignored option.
+        with pytest.raises(SystemExit) as excinfo:
+            cli.build_parser().parse_args(["--plan-dir", "plans", "--async"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_negative_shm_threshold_disables_the_transport(self, tmp_path):
         args = cli.build_parser().parse_args([
@@ -120,47 +118,6 @@ class TestMainLoop:
             assert address is not None, "server never announced its URL"
             status, body = _request(address, "GET", "/healthz")
             assert status == 200 and body["models"] == 1
-            images = np.random.default_rng(0).normal(size=(2, 1, 4, 4))
-            status, body = _request(
-                address, "POST", "/v1/predict",
-                _predict_body(images, model="mlp", bits=4, mapping="acm"),
-            )
-            assert status == 200
-            np.testing.assert_array_equal(decode_array(body["logits"]),
-                                          plan.run(images))
-        finally:
-            cli._stop.set()
-            thread.join(timeout=30)
-        assert not thread.is_alive()
-        assert exit_code["value"] == 0
-
-    def test_main_with_async_edge(self, tmp_path, capsys):
-        directory, plan = _publish(tmp_path)
-        cli._stop.clear()
-        exit_code = {}
-
-        def run() -> None:
-            exit_code["value"] = cli.main([
-                "--plan-dir", str(directory), "--port", "0", "--quiet",
-                "--run-for", "60", "--async",
-            ])
-
-        thread = threading.Thread(target=run, daemon=True)
-        thread.start()
-        try:
-            address = None
-            announced = ""
-            deadline = time.monotonic() + 30
-            while address is None and time.monotonic() < deadline:
-                announced += capsys.readouterr().out
-                for line in announced.splitlines():
-                    if "serving" in line and "http://" in line:
-                        host_port = line.split("http://", 1)[1].split()[0]
-                        host, port = host_port.rsplit(":", 1)
-                        address = (host, int(port))
-                time.sleep(0.02)
-            assert address is not None, "server never announced its URL"
-            assert "asyncio edge" in announced
             images = np.random.default_rng(0).normal(size=(2, 1, 4, 4))
             status, body = _request(
                 address, "POST", "/v1/predict",

@@ -20,10 +20,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import prometheus
 from repro.models import make_lenet, make_mlp
 from repro.runtime import compile_model
 from repro.runtime.wire import WireFormatError, decode_array, encode_array
 from repro.serve import InferenceService, PlanRegistry, PlanServer
+from repro.serve.http import _Handler
 
 
 # ---------------------------------------------------------------------- #
@@ -112,6 +114,42 @@ def _request(address, method, path, body=None):
 def _predict_body(images, model="lenet", bits=4, mapping="acm", **extra):
     return {"model": model, "bits": bits, "mapping": mapping,
             "images": encode_array(np.asarray(images)), **extra}
+
+
+# Raw-socket plumbing: keep-alive and pipelining need byte control.
+def _raw_request(method, path, body=None, headers=None, version="1.1"):
+    """Serialize one HTTP request to bytes."""
+    payload = b"" if body is None else json.dumps(body).encode("utf-8")
+    lines = [f"{method} {path} HTTP/{version}", "Host: test"]
+    if body is not None:
+        lines.append("Content-Type: application/json")
+        lines.append(f"Content-Length: {len(payload)}")
+    for name, value in (headers or {}).items():
+        lines.append(f"{name}: {value}")
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + payload
+
+
+def _read_response(reader):
+    """Parse one response off a socket file; (status, headers, json body)."""
+    status_line = reader.readline()
+    if not status_line:
+        raise EOFError("connection closed before a status line")
+    assert status_line.startswith(b"HTTP/1."), status_line
+    status = int(status_line.split(b" ", 2)[1])
+    headers = {}
+    while True:
+        line = reader.readline()
+        if line in (b"\r\n", b"\n"):
+            break
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    raw = reader.read(int(headers.get("content-length", 0)))
+    return status, headers, json.loads(raw.decode("utf-8")) if raw else None
+
+
+def _connect(address, timeout=30.0):
+    sock = socket.create_connection(address, timeout=timeout)
+    return sock, sock.makefile("rb")
 
 
 # ---------------------------------------------------------------------- #
@@ -431,6 +469,59 @@ class TestBodyReading:
             sock.close()
         assert b" 413 " in raw.partition(b"\r\n")[0]
 
+    def test_dribbled_body_on_a_keepalive_socket(self, served):
+        # The same slow client without Connection: close: the response is
+        # framed for keep-alive and the socket carries a second request.
+        payload = json.dumps(_predict_body(served.images[:2])).encode("utf-8")
+        head = (f"POST /v1/predict HTTP/1.1\r\nHost: t\r\n"
+                f"Content-Type: application/json\r\n"
+                f"Content-Length: {len(payload)}\r\n\r\n").encode("latin-1")
+        sock, reader = _connect(served.address)
+        try:
+            sock.sendall(head)
+            for offset in range(0, len(payload), 256):
+                sock.sendall(payload[offset:offset + 256])
+                time.sleep(0.005)
+            status, headers, body = _read_response(reader)
+            assert status == 200
+            assert headers.get("connection") != "close"
+            np.testing.assert_array_equal(
+                decode_array(body["logits"]),
+                served.lenet_plan.run(served.images[:2]),
+            )
+            sock.sendall(_raw_request("GET", "/healthz"))
+            assert _read_response(reader)[0] == 200
+        finally:
+            sock.close()
+
+    def test_truncated_body_closes_the_connection(self, served):
+        sock, reader = _connect(served.address)
+        try:
+            sock.sendall(b"POST /v1/predict HTTP/1.1\r\nHost: t\r\n"
+                         b"Content-Type: application/json\r\n"
+                         b"Content-Length: 1000\r\n\r\n{\"model\":")
+            sock.shutdown(socket.SHUT_WR)  # dead client, body never arrives
+            status, headers, body = _read_response(reader)
+            assert status == 400
+            assert body["error"]["code"] == "invalid_request"
+            assert "truncated" in body["error"]["message"]
+            assert headers.get("connection") == "close"
+            assert reader.read() == b""
+        finally:
+            sock.close()
+
+    def test_oversized_content_length_is_typed_413(self, served):
+        sock, reader = _connect(served.address)
+        try:
+            sock.sendall(_raw_request(
+                "POST", "/v1/predict",
+                headers={"Content-Length": str(1 << 31)}))
+            status, headers, body = _read_response(reader)
+            assert status == 413 and body["error"]["status"] == 413
+            assert headers.get("connection") == "close"
+        finally:
+            sock.close()
+
 
 class TestStudyCancel:
     """``DELETE /v1/studies/{id}``: idempotent cancellation."""
@@ -505,6 +596,300 @@ class TestKeepAlive:
         finally:
             connection.close()
 
+    def test_second_request_reuses_the_same_socket(self, served):
+        sock, reader = _connect(served.address)
+        try:
+            for _ in range(2):
+                sock.sendall(_raw_request("POST", "/v1/predict",
+                                          _predict_body(served.images[:2])))
+                status, headers, body = _read_response(reader)
+                assert status == 200
+                assert headers.get("connection") != "close"
+                assert "logits" in body
+        finally:
+            sock.close()
+
+    def test_error_response_closes_the_connection(self, served):
+        # Errors always close: the request body may sit half-read on the
+        # socket and would corrupt the framing of a follow-up request.
+        sock, reader = _connect(served.address)
+        try:
+            sock.sendall(_raw_request("GET", "/nope"))
+            status, headers, _ = _read_response(reader)
+            assert status == 404
+            assert headers.get("connection") == "close"
+            assert reader.read() == b""
+        finally:
+            sock.close()
+
+    def test_pipelined_pair_answered_in_order(self, served):
+        # Both requests are on the wire before either response is read.
+        sock, reader = _connect(served.address)
+        try:
+            sock.sendall(_raw_request("GET", "/healthz") +
+                         _raw_request("GET", "/v1/models"))
+            status, _, body = _read_response(reader)
+            assert status == 200 and body["status"] == "ok"
+            status, _, body = _read_response(reader)
+            assert status == 200 and "models" in body
+        finally:
+            sock.close()
+
+    def test_connection_close_header_is_honoured(self, served):
+        sock, reader = _connect(served.address)
+        try:
+            sock.sendall(_raw_request("GET", "/healthz",
+                                      headers={"Connection": "close"}))
+            status, headers, _ = _read_response(reader)
+            assert status == 200
+            assert headers.get("connection") == "close"
+            assert reader.read() == b""  # server hangs up after the response
+        finally:
+            sock.close()
+
+    def test_http10_without_keepalive_closes(self, served):
+        sock, reader = _connect(served.address)
+        try:
+            sock.sendall(_raw_request("GET", "/healthz", version="1.0"))
+            status, headers, _ = _read_response(reader)
+            assert status == 200
+            assert headers.get("connection") == "close"
+            assert reader.read() == b""
+        finally:
+            sock.close()
+
+    def test_idle_connection_closed_after_idle_timeout(self, served,
+                                                       monkeypatch):
+        monkeypatch.setattr(_Handler, "timeout", 0.4)
+        sock, reader = _connect(served.address)
+        try:
+            sock.sendall(_raw_request("GET", "/healthz"))
+            assert _read_response(reader)[0] == 200
+            start = time.monotonic()
+            sock.settimeout(10.0)
+            assert reader.read() == b""  # EOF once the idle timer fires
+            assert time.monotonic() - start < 8.0
+        finally:
+            sock.close()
+
+    def test_close_drains_idle_keepalive_connections(self, served):
+        server = PlanServer(InferenceService(PlanRegistry(served.directory)),
+                            own_backend=True).start()
+        sock, reader = _connect(server.address)
+        try:
+            sock.sendall(_raw_request("GET", "/healthz"))
+            assert _read_response(reader)[0] == 200
+            # The connection is idle mid-keep-alive; a graceful close must
+            # not hang on it, and must hang *it* up.
+            start = time.monotonic()
+            server.close()
+            assert time.monotonic() - start < 8.0
+            sock.settimeout(5.0)
+            assert reader.read() == b""
+        finally:
+            sock.close()
+
+
+class TestKeepAliveFanIn:
+    """Hundreds of keep-alive connections held open at once, each reused."""
+
+    CONNECTIONS = 200
+    ROUNDS = 3
+
+    def test_every_response_bit_identical_to_the_plan(self, tmp_path):
+        registry = PlanRegistry(tmp_path / "plans")
+        model = make_mlp(input_size=16, hidden_sizes=(8,), mapping="acm",
+                         quantizer_bits=4, seed=0)
+        registry.publish_model(model, "mlp", 4, "acm")
+        images = np.random.default_rng(3).normal(size=(8, 16))
+        expected = compile_model(model).run(images)
+        request = _raw_request("POST", "/v1/predict", _predict_body(
+            images, model="mlp", bits=4, mapping="acm"))
+        server = PlanServer(InferenceService(registry, max_batch=64),
+                            own_backend=True).start()
+        connections = []
+        try:
+            for _ in range(self.CONNECTIONS):
+                connections.append(_connect(server.address, timeout=120.0))
+            for _ in range(self.ROUNDS):
+                # Every connection has a request in flight before any
+                # response is read, so the edge serves the full fan-in.
+                for sock, _ in connections:
+                    sock.sendall(request)
+                for _, reader in connections:
+                    status, headers, body = _read_response(reader)
+                    assert status == 200
+                    assert headers.get("connection") != "close"
+                    logits = decode_array(body["logits"])
+                    assert logits.dtype == np.float64
+                    np.testing.assert_array_equal(logits, expected)
+        finally:
+            for sock, _ in connections:
+                sock.close()
+            server.close()
+
+
+class TestRawSocketRoutes:
+    """Route spot checks over raw bytes: every answer must carry a real
+    status line and a Content-Length that frames the JSON body exactly."""
+
+    @staticmethod
+    def _exchange(address, raw):
+        sock, reader = _connect(address)
+        try:
+            sock.sendall(raw)
+            return _read_response(reader)
+        finally:
+            sock.close()
+
+    def test_predict_bit_identical_to_plan(self, served):
+        status, _, body = self._exchange(served.address, _raw_request(
+            "POST", "/v1/predict", _predict_body(served.images)))
+        assert status == 200
+        np.testing.assert_array_equal(decode_array(body["logits"]),
+                                      served.lenet_plan.run(served.images))
+
+    def test_healthz_and_models(self, served):
+        status, _, body = self._exchange(served.address,
+                                         _raw_request("GET", "/healthz"))
+        assert status == 200 and body["status"] == "ok"
+        status, _, body = self._exchange(served.address,
+                                         _raw_request("GET", "/v1/models"))
+        assert status == 200
+        assert sorted(entry["name"] for entry in body["models"]) == \
+            ["lenet__4b__acm", "mlp__6b__de"]
+
+    def test_invalid_json_is_400(self, served):
+        status, _, body = self._exchange(
+            served.address,
+            b"POST /v1/predict HTTP/1.1\r\nHost: t\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: 9\r\n\r\nnot json!")
+        assert status == 400
+        assert body["error"]["code"] == "invalid_request"
+
+    def test_missing_content_length_is_400(self, served):
+        status, _, body = self._exchange(
+            served.address, b"POST /v1/predict HTTP/1.1\r\nHost: t\r\n\r\n")
+        assert status == 400
+        assert "Content-Length" in body["error"]["message"]
+
+    def test_auth_enforced_with_healthz_open(self, served):
+        server = PlanServer(InferenceService(PlanRegistry(served.directory)),
+                            own_backend=True, auth_token="s3cret").start()
+        try:
+            address = server.address
+            assert self._exchange(
+                address, _raw_request("GET", "/v1/models"))[0] == 401
+            assert self._exchange(
+                address, _raw_request("GET", "/healthz"))[0] == 200
+            assert self._exchange(address, _raw_request(
+                "GET", "/v1/models",
+                headers={"Authorization": "Bearer s3cret"}))[0] == 200
+        finally:
+            server.close()
+
+    def test_request_id_echoed(self, served):
+        _, headers, _ = self._exchange(served.address, _raw_request(
+            "GET", "/healthz", headers={"X-Request-Id": "trace-me-42"}))
+        assert headers.get("x-request-id") == "trace-me-42"
+
+    def test_submit_poll_cancel_lifecycle(self, served):
+        from repro.api.codec import encode_study_spec
+        from repro.api.types import study_spec
+
+        spec = study_spec(images=served.images[:4],
+                          models=[("lenet", "acm", 4)],
+                          sigmas=(0.0,), num_samples=3, seed=5)
+        status, _, body = self._exchange(served.address, _raw_request(
+            "POST", "/v1/studies", encode_study_spec(spec)))
+        assert status == 200
+        job_id = body["job_id"]
+        deadline = time.monotonic() + 60
+        while True:
+            status, _, body = self._exchange(
+                served.address, _raw_request("GET", f"/v1/studies/{job_id}"))
+            assert status == 200
+            if body["state"] != "running":
+                break
+            assert time.monotonic() < deadline, "study never finished"
+            time.sleep(0.05)
+        assert body["state"] == "done"
+        # Cancel after completion: idempotent no-op reporting "done".
+        status, _, body = self._exchange(
+            served.address, _raw_request("DELETE", f"/v1/studies/{job_id}"))
+        assert status == 200 and body["state"] == "done"
+
+    def test_cancel_unknown_job_is_typed_404(self, served):
+        status, headers, body = self._exchange(
+            served.address, _raw_request("DELETE", "/v1/studies/no-such-job"))
+        assert status == 404
+        assert body["error"]["code"] == "model_not_found"
+        assert headers.get("connection") == "close"
+
+
+class TestProtocolErrors:
+    """Failures the stdlib parser meets answer like every other error:
+    a status line, the JSON error body, and a count in the edge metrics."""
+
+    def _exchange(self, served, raw):
+        sock, reader = _connect(served.address)
+        try:
+            sock.sendall(raw)
+            status, headers, body = _read_response(reader)
+            assert headers.get("connection") == "close"
+            assert headers.get("content-type") == "application/json"
+            return status, body["error"]
+        finally:
+            sock.close()
+
+    def _edge_counts(self, served):
+        connection = http.client.HTTPConnection(*served.address, timeout=30)
+        try:
+            connection.request("GET", "/metrics")
+            text = connection.getresponse().read().decode("utf-8")
+        finally:
+            connection.close()
+        return prometheus.counter_values(prometheus.validate(text),
+                                         "repro_http_requests_total")
+
+    def test_malformed_request_line_is_400(self, served):
+        status, error = self._exchange(served, b"WHAT\r\n\r\n")
+        assert status == 400 and error["status"] == 400
+        assert error["code"] == "invalid_request"
+
+    @pytest.mark.parametrize("method,path,expected_status,code", [
+        ("PUT", "/v1/predict", 405, "method_not_allowed"),
+        ("PATCH", "/healthz", 405, "method_not_allowed"),
+        ("PUT", "/v1/studies/abc", 405, "method_not_allowed"),
+        ("PUT", "/nope", 404, "not_found"),
+    ])
+    def test_unrouted_method_gets_the_core_answer(self, served, method, path,
+                                                  expected_status, code):
+        status, error = self._exchange(served, _raw_request(method, path))
+        assert status == expected_status
+        assert error["code"] == code
+
+    def test_oversized_request_line_is_414(self, served):
+        raw = b"GET /" + b"a" * 70000 + b" HTTP/1.1\r\n\r\n"
+        status, error = self._exchange(served, raw)
+        assert status == 414
+        assert error["code"] == "invalid_request"
+
+    def test_protocol_errors_are_counted(self, served):
+        before = self._edge_counts(served)
+        self._exchange(served, b"WHAT\r\n\r\n")
+        self._exchange(served, _raw_request("PUT", "/v1/predict"))
+        self._exchange(served, _raw_request("BREW", "/v1/predict"))
+        after = self._edge_counts(served)
+        for series in [
+            (("method", "BAD"), ("route", "unknown"), ("status", "400")),
+            (("method", "PUT"), ("route", "/v1/predict"), ("status", "405")),
+            # Unknown method tokens share one label value.
+            (("method", "OTHER"), ("route", "/v1/predict"), ("status", "405")),
+        ]:
+            assert after[series] == before.get(series, 0) + 1, series
+
 
 class TestLifecycle:
     def test_closed_backend_maps_to_503(self, tmp_path):
@@ -567,3 +952,27 @@ class TestLifecycle:
             server.start()
         server.close()
         server.close()  # idempotent
+
+    def test_double_close_is_safe(self, served):
+        # An owning server that has served traffic closes its backend
+        # once; the second close is a no-op, not a second backend close.
+        server = PlanServer(InferenceService(PlanRegistry(served.directory)),
+                            own_backend=True).start()
+        assert _request(server.address, "GET", "/healthz")[0] == 200
+        server.close()
+        server.close()
+
+    def test_metrics_exposed(self, served):
+        connection = http.client.HTTPConnection(*served.address, timeout=30)
+        try:
+            connection.request("GET", "/metrics")
+            response = connection.getresponse()
+            text = response.read().decode("utf-8")
+            assert response.status == 200
+            assert "repro_http_requests_total" in text
+        finally:
+            connection.close()
+
+    def test_stats_route(self, served):
+        status, body = _request(served.address, "GET", "/v1/stats")
+        assert status == 200 and "stats" in body
